@@ -3,7 +3,7 @@
 Run from the root of a checkout (the program is imported from ``src/``)::
 
     python3 ulebench/run.py                       # all four workloads, one process each
-    python3 ulebench/run.py --workload paper-batch --seed 3 --seconds 20
+    python3 ulebench/run.py --workload paper-batch --seed 3 --seconds 25
     python3 ulebench/run.py --workload service-mix --trace 1   # per-layer breakdown
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` traces every other
@@ -303,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="paper-batch, degraded-volumes, service-mix, "
                              "emulated-restore or all (default)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="length of the timed loop (default 20)")
+    parser.add_argument("--seconds", type=float, default=25.0,
+                        help="length of the timed loop (default 25)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--ops", type=int, default=0,
                         help="time exactly this many ops instead of --seconds")
