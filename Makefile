@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench-smoke bench-pipeline bench-record bench-check \
 	bench-restore-latency bench-server bench-volumes cli-smoke store-smoke \
 	restore-smoke append-smoke server-smoke volume-smoke hygiene golden \
-	lint typecheck
+	lint typecheck ulebench-check
 
 # Where bench-record writes its BENCH_*.json.  The default (repo root) is the
 # committed baseline; CI records into a scratch dir and compares against it.
@@ -189,6 +189,12 @@ bench-check:
 	@rm -rf .bench-fresh; mkdir .bench-fresh
 	$(MAKE) bench-record BENCH_DIR=.bench-fresh
 	$(PYTHON) benchmarks/check_regression.py --fresh-dir .bench-fresh
+
+## end-to-end benchmark self-check (~1 min): every ulebench workload runs a
+## few ops on tiny inputs through the public surface, every output is
+## checked, and the counts a seed fixes must repeat exactly
+ulebench-check:
+	$(PYTHON) ulebench/repeatability_check.py
 
 ## regenerate the golden Bootstrap text after a deliberate decoder change
 golden:

@@ -109,6 +109,7 @@ def bench_single_segment_decode(payload: bytes, parallelisms: list[int]) -> dict
             run = time.perf_counter() - start
             assert result.payload == payload
             elapsed = run if elapsed is None else min(elapsed, run)
+        engine.close()
         baseline = baseline if baseline is not None else elapsed
         label = f"decode_parallelism={parallelism}"
         print(f"  {label:<24} {elapsed:6.2f} s  "

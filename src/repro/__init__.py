@@ -59,8 +59,6 @@ _EXPORTS: dict[str, str] = {
     "devtools": "repro",
     "server": "repro",
     # repro.core — engines, manifests, profiles
-    "Archiver": "repro.core",
-    "Restorer": "repro.core",
     "RestoreEngine": "repro.core",
     "RestorationResult": "repro.core",
     "VerifyReport": "repro.core",
@@ -145,12 +143,10 @@ if TYPE_CHECKING:  # static importers see the eager imports
         PROFILES,
         TEST_PROFILE,
         ArchiveManifest,
-        Archiver,
         MediaProfile,
         MicrOlonysArchive,
         RestorationResult,
         RestoreEngine,
-        Restorer,
         SegmentRecord,
         VerifyReport,
         get_profile,

@@ -15,9 +15,6 @@ This package is the canonical way in and out of the system:
   channel ``record``/``scan`` hop, in a single call;
 * ``python -m repro`` (:mod:`repro.api.cli`) — ``archive`` / ``restore`` /
   ``inspect`` / ``profiles`` subcommands built on the same facade.
-
-The historical ``Archiver`` / ``Restorer`` classes remain importable as
-deprecation shims.
 """
 
 from repro.api.config import ArchiveConfig

@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     archive.add_argument("--input", "-i", required=True, help="payload file to archive")
     archive.add_argument("--output", "-o", required=True,
                          help="archive target URI: dir:<path>, file:<path>, mem:<name>, "
-                              "or vol:k=K,m=M:<member,member,...> (bare paths are "
-                              "deprecated but still accepted)")
+                              "or vol:k=K,m=M:<member,member,...> (a bare path is "
+                              "sniffed by shape)")
     archive.add_argument("--store", help="storage backend: directory (default), container, "
                                          "memory, volumes")
     archive.add_argument("--append", action="store_true",
@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     restore = sub.add_parser("restore", help="restore a saved archive (full or a byte range)")
     restore.add_argument("--input", "-i", required=True,
                          help="archive target URI: dir:<path>, file:<path>, mem:<name>, "
-                              "or vol:<members> (bare paths are deprecated)")
+                              "or vol:<members> (a bare path is sniffed by shape)")
     restore.add_argument("--output", "-o", required=True, help="file for the restored payload")
     restore.add_argument("--store", help="storage backend override (auto-detected by default)")
     restore.add_argument("--offset", type=int,

@@ -32,7 +32,6 @@ from repro.errors import ArchiveError, RestorationError, StoreError
 from repro.pipeline.pipeline import (
     ArchivePipeline,
     EncodedSegment,
-    RestorePipeline,
     build_system_artifacts,
 )
 from repro.store import (
@@ -136,10 +135,10 @@ class ArchiveWriter:
         self._store = store
         #: The parsed target spec every store operation of this session
         #: routes through — one :func:`repro.store.parse_target` call per
-        #: session, so the bare-path deprecation warns once and ``vol:``
-        #: geometry defaults (``config.volume_parity``/``volume_stripe``)
-        #: apply only when *creating* a volume set (an appended set's
-        #: geometry is read back from the medium instead).
+        #: session; ``vol:`` geometry defaults
+        #: (``config.volume_parity``/``volume_stripe``) apply only when
+        #: *creating* a volume set (an appended set's geometry is read back
+        #: from the medium instead).
         self._spec: TargetSpec | None = None
         if target is not None:
             self._spec = parse_target(
@@ -429,14 +428,12 @@ class ArchiveReader:
         self.segments_decoded = 0
         self.frames_decoded = 0
         self.segments_cached = 0
-        self._profile = config.media_profile()
-        #: Lazily built, then reused across partial reads so repeated
-        #: ``read_range`` calls don't respawn an executor (pool) each time;
-        #: :meth:`close` releases them.
-        self._partial_executor = None
-        self._partial_pipeline: RestorePipeline | None = None
+        #: Full reads, partial reads and verify all decode through this
+        #: engine's one pipeline and executor, so repeated ``read_range``
+        #: calls don't respawn an executor (pool) each time; :meth:`close`
+        #: releases it.
         self._engine = RestoreEngine(
-            profile=self._profile,
+            profile=config.media_profile(),
             decode_mode=config.decode_mode,
             executor=config.executor,
             decode_parallelism=config.decode_parallelism,
@@ -482,24 +479,18 @@ class ArchiveReader:
             return self.read_via_channel()
         return self._engine.restore(self.archive)
 
-    def read_via_channel(
-        self, seed: int | None = None, streaming: bool = True
-    ) -> RestorationResult:
+    def read_via_channel(self, seed: int | None = None) -> RestorationResult:
         """Record on the configured medium, scan back, then restore.
 
         The channel simulation *streams*: each segment's frames are
         recorded, scanned (per-frame seeded) and decoded as one job through
         the configured executor, so step 7 parallelises and overlaps with
         decoding instead of staging a whole-archive record/scan pass.
-        ``streaming=False`` selects the deprecated whole-frame pass.
         """
         if seed is None:
             seed = self.config.scan_seed
         return self._engine.restore_via_channel(
-            self.archive,
-            seed=seed,
-            streaming=streaming,
-            distortion=self.config.distortion,
+            self.archive, seed=seed, distortion=self.config.distortion
         )
 
     def read_from_scans(
@@ -573,24 +564,7 @@ class ArchiveReader:
 
     def _decode_uncached(self, records: list[SegmentRecord]) -> Iterator[bytes]:
         """Pipeline-decode ``records`` (cache misses), yielding payloads in order."""
-        if self._partial_pipeline is None:
-            from repro.pipeline.executors import get_executor
-            from repro.pipeline.pipeline import resolve_decode_executor
-
-            # Passing an executor *instance* keeps the pool alive across
-            # this session's partial reads (the pipeline only closes
-            # executors it resolved from a name itself).
-            self._partial_executor = get_executor(
-                resolve_decode_executor(
-                    self.config.executor, self.config.decode_parallelism
-                )
-            )
-            self._partial_pipeline = RestorePipeline(
-                self._profile,
-                executor=self._partial_executor,
-                decode_parallelism=self.config.decode_parallelism,
-            )
-        pipeline = self._partial_pipeline
+        pipeline = self._engine.pipeline
         prefetcher = None
         frames_for = self._frames
         if self.config.readahead > 0 and self._archive is None:
@@ -683,11 +657,8 @@ class ArchiveReader:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the store source and any partial-decode executor (idempotent)."""
-        if self._partial_executor is not None:
-            self._partial_executor.close()
-            self._partial_executor = None
-            self._partial_pipeline = None
+        """Release the store source and the decode executor (idempotent)."""
+        self._engine.close()
         if self._source is not None:
             self._source.close()
 
@@ -807,8 +778,8 @@ def open_archive(
     if append:
         if target is None:
             raise ArchiveError("open_archive(append=True) needs a target to extend")
-        # Parse once up front so the bare-path deprecation warns a single
-        # time and both the base-manifest read and the writer share one spec.
+        # Parse once up front so the base-manifest read and the writer share
+        # one spec.
         spec = parse_target(target, store=store)
         config, base = _resolve_append(spec, None, config, overrides)
         if payload_kind is None:
@@ -945,8 +916,8 @@ def run_end_to_end(
     # batching-invariant per-frame seeding) and decoded as one job through
     # the configured executor, instead of staging whole-archive record and
     # scan passes.
-    reader = open_restore(archive, config)
-    restoration = reader.read_via_channel(seed=config.scan_seed)
+    with open_restore(archive, config) as reader:
+        restoration = reader.read_via_channel(seed=config.scan_seed)
     if restoration.payload != payload:
         raise RestorationError(
             "end-to-end restoration returned different bytes than were archived"

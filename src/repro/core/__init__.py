@@ -2,16 +2,17 @@
 
 This package ties the substrates together into the two flows of Figure 2:
 
-* :class:`~repro.core.archiver.Archiver` — the seven archival steps: dump the
-  database, compress it with DBCoder, lay it out as data emblems with
-  MOCoder, archive the DBCoder decoder as system emblems, and render the
-  Bootstrap document holding the DynaRisc emulator and the MOCoder decoder as
-  letter pages.
-* :class:`~repro.core.restorer.Restorer` — the six restoration steps, up to
-  and including loading the recovered SQL archive into the miniature DBMS;
-  optionally the database-layout decoding runs inside the emulated DynaRisc
-  processor (or the full nested VeRisc stack), exactly as a future user
-  would run it.
+* the archival steps — dump the database, compress it with DBCoder, lay it
+  out as data emblems with MOCoder, archive the DBCoder decoder as system
+  emblems, and render the Bootstrap document holding the DynaRisc emulator
+  and the MOCoder decoder as letter pages — run through
+  :func:`repro.api.open_archive` over :class:`repro.pipeline.ArchivePipeline`
+  and produce a :class:`~repro.core.archive.MicrOlonysArchive`;
+* :class:`~repro.core.restorer.RestoreEngine` — the six restoration steps,
+  up to and including loading the recovered SQL archive into the miniature
+  DBMS; optionally the database-layout decoding runs inside the emulated
+  DynaRisc processor (or the full nested VeRisc stack), exactly as a future
+  user would run it.  :func:`repro.api.open_restore` is its facade.
 """
 
 from repro.core.profiles import (
@@ -26,12 +27,10 @@ from repro.core.profiles import (
     PROFILES,
 )
 from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
-from repro.core.archiver import Archiver
 from repro.core.restorer import (
     GenerationInfo,
     RestorationResult,
     RestoreEngine,
-    Restorer,
     VerifyReport,
 )
 
@@ -51,7 +50,5 @@ __all__ = [
     "get_profile",
     "ArchiveManifest",
     "MicrOlonysArchive",
-    "Archiver",
-    "Restorer",
     "RestorationResult",
 ]

@@ -24,6 +24,7 @@ VeRisc-hosted nested emulator — the complete ULE chain.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,20 +34,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (store builds on core)
 import numpy as np
 
 from repro.errors import RestorationError
-from repro.core.archive import ArchiveManifest, MicrOlonysArchive
-from repro.core.profiles import MediaProfile, TEST_PROFILE, get_profile
+from repro.core.archive import ArchiveManifest, MicrOlonysArchive, SegmentRecord
+from repro.core.profiles import MediaProfile, TEST_PROFILE
 from repro.bootstrap.document import BootstrapDocument
 from repro.dbcoder.dbcoder import DBCoder, Profile
 from repro.dbcoder.formats import unpack_container
 from repro.dbms.database import Database
 from repro.dbms.dump import db_load
 from repro.dynarisc.emulator import DynaRiscEmulator
-from repro.mocoder.mocoder import DecodeReport, MOCoder
+from repro.mocoder.mocoder import DecodeReport
 from repro.nested import NestedDynaRiscMachine
+from repro.pipeline.executors import get_executor
 from repro.pipeline.pipeline import (
     ChannelSpec,
     RestorePipeline,
     _simulate_channel,
+    _verify_segment_payload,
+    check_archive_totals,
     merge_reports,
     resolve_decode_executor,
 )
@@ -146,8 +150,11 @@ class RestoreEngine:
     """Restore databases from scanned emblem images and the Bootstrap text.
 
     This is the engine behind :func:`repro.api.open_restore` and
-    :func:`repro.api.run_end_to_end`; the historical :class:`Restorer` name
-    remains as a thin deprecation shim over it.
+    :func:`repro.api.run_end_to_end`.  Every decode it runs — the system
+    emblems, full restores of one-shot and segmented archives, the emulated
+    modes and :meth:`verify` — goes through one
+    :class:`~repro.pipeline.RestorePipeline` over one executor, both built
+    here once; :meth:`close` releases the executor's workers.
 
     Parameters
     ----------
@@ -156,21 +163,18 @@ class RestoreEngine:
     decode_mode:
         ``"python"`` / ``"dynarisc"`` / ``"nested"``; see the module docs.
     executor:
-        Pipeline executor used for *segmented* archives — each segment's
+        Pipeline executor the decode jobs map through — each segment's
         MOCoder decoding is independent, so ``"process"`` decodes segments
-        in parallel — and for sub-segment chunk decoding when
-        ``decode_parallelism`` > 1.
+        in parallel.
     decode_parallelism:
         Sub-segment parallelism: each segment's (or a one-shot archive's)
         emblem-image decoding is split into up to this many contiguous
         chunks mapped through ``executor``, so a single huge segment no
-        longer serialises restore.  ``1`` keeps the historical
-        one-job-per-segment behaviour.  Chunks never shrink below
-        ``repro.mocoder.mocoder.MIN_DECODE_CHUNK`` images: the per-image
-        decode is itself batch-vectorised, so splitting a small stream
-        costs more in executor round-trips than it overlaps (the measured
-        ``decode_parallelism=2`` slowdown on benchmark smoke payloads),
-        and such streams collapse back to the serial path.
+        longer serialises restore.  ``1`` keeps one job per segment.  Chunks
+        never shrink below ``repro.pipeline.pipeline.MIN_DECODE_CHUNK``
+        images: the per-image decode is itself batch-vectorised, so
+        splitting a small stream costs more in executor round-trips than it
+        overlaps, and such streams stay one job.
     """
 
     def __init__(
@@ -186,7 +190,18 @@ class RestoreEngine:
         self.decode_mode = decode_mode
         self.executor = executor
         self.decode_parallelism = max(1, int(decode_parallelism))
-        self.mocoder = MOCoder(profile.spec)
+        #: One executor *instance* for every decode: it stays open across
+        #: calls (pools spawn their workers on first use) until :meth:`close`.
+        self._executor = get_executor(
+            resolve_decode_executor(executor, self.decode_parallelism)
+        )
+        self.pipeline = RestorePipeline(
+            profile, executor=self._executor, decode_parallelism=self.decode_parallelism
+        )
+
+    def close(self) -> None:
+        """Release the executor's workers (idempotent; reusable afterwards)."""
+        self._executor.close()
 
     # ------------------------------------------------------------------ #
     def restore(self, archive: MicrOlonysArchive) -> RestorationResult:
@@ -203,36 +218,22 @@ class RestoreEngine:
         self,
         archive: MicrOlonysArchive,
         seed: int | None = None,
-        streaming: bool = True,
         distortion: str | None = None,
     ) -> RestorationResult:
         """Record the archive on the profile's medium, scan it back, restore.
 
-        The default (``streaming=True``) runs step 7 the same way encode
-        streams: each segment's frames are recorded, scanned (with
-        batching-invariant per-frame seeding) and decoded as one executor
-        job, so channel simulation overlaps decoding and parallelises with
-        the configured executor instead of staging a whole-archive
-        record/scan pass.  ``distortion`` optionally names a registered
-        distortion profile override for the simulated scanner.
-
-        ``streaming=False`` is the deprecated whole-frame path: one RNG
-        threaded serially across every frame of the archive.  It restores
-        the same bytes, scan pixels differ.
+        Step 7 runs the same way encode streams: each segment's frames are
+        recorded, scanned (with batching-invariant per-frame seeding) and
+        decoded as one executor job, so channel simulation overlaps decoding
+        and parallelises with the configured executor.  ``distortion``
+        optionally names a registered distortion profile override for the
+        simulated scanner.
         """
-        if not streaming:
-            warnings.warn(
-                "restore_via_channel(streaming=False) re-runs the deprecated "
-                "whole-frame record/scan pass; the streaming per-batch channel "
-                "path is the default and parallelises with the executor",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        channel_spec = self._channel_spec(seed, distortion) if streaming else None
+        channel_spec = self._channel_spec(seed, distortion)
         if channel_spec is None:
-            # Whole-frame pass: explicit opt-out, or a profile whose channel
-            # cannot be faithfully rebuilt by name inside executor workers
-            # (unregistered, or customised beyond what ``distortion`` names).
+            # A profile whose channel cannot be faithfully rebuilt by name
+            # inside executor workers (unregistered, or customised beyond
+            # what ``distortion`` names): one whole-frame record/scan pass.
             channel = self.profile.channel()
             data_scans = channel.roundtrip(archive.data_emblem_images, seed=seed)
             system_scans = channel.roundtrip(archive.system_emblem_images, seed=seed)
@@ -284,11 +285,12 @@ class RestoreEngine:
     ) -> RestorationResult:
         """Run restoration steps 1-6 on scanned images.
 
-        When a ``manifest`` with more than one segment record is provided,
-        step 5 runs per segment (independently, optionally in parallel via
-        the configured ``executor``); otherwise the whole data stream is
-        decoded at once (still chunk-parallel when ``decode_parallelism``
-        > 1), exactly as before the pipeline existed.
+        With a ``manifest`` that has segment records, step 5 runs per
+        segment (independently, optionally in parallel via the configured
+        ``executor``) and checks each against its record.  Without one (a v1
+        manifest, or ``manifest=None``) the scans given decode as a single
+        stream; emblem headers are self-describing, so scans may be missing
+        or out of order.  A one-segment archive takes every scan given, too.
 
         Raises
         ------
@@ -316,7 +318,6 @@ class RestoreEngine:
         recorded/scanned per batch inside the decode jobs (lane 0).
         """
         notes: list[str] = []
-        emulator_steps = 0
 
         # Steps 2-3: the Bootstrap provides the emulator and MOCoder decoder.
         if bootstrap_text is not None:
@@ -333,49 +334,21 @@ class RestoreEngine:
             system_images = _simulate_channel(system_images, channel, 0, lane=1)
 
         # Step 4: recover the archived DBCoder decoder from the system
-        # emblems.  ``decode_parallelism`` applies here exactly as it does to
-        # the data stream: the per-image RS-heavy decoding splits into chunks
-        # mapped through the configured executor (byte-identical to serial).
+        # emblems, through the same pipeline as the data stream.
         system_report = None
         decoder_code: bytes | None = None
         if system_images:
-            decoder_code, system_report = self.mocoder.decode(
-                system_images,
-                parallelism=self.decode_parallelism,
-                executor=resolve_decode_executor(self.executor, self.decode_parallelism),
-            )
+            decoder_code, system_report = self.pipeline.decode_stream(system_images)
             notes.append(
                 f"system emblems decoded: {system_report.emblems_decoded} of "
                 f"{system_report.emblems_seen} scans, "
                 f"{system_report.rs_corrections} symbol corrections"
             )
 
-        # Step 5: recover the payload — per segment when the manifest
-        # describes a segmented archive, as one stream otherwise.  The
-        # manifest names the compression codec; user-registered codecs only
-        # decode under the reference (python) decoders.
-        codec_name = manifest.dbcoder_profile if manifest is not None else None
-        if codec_name is not None and self.decode_mode != "python":
-            from repro import registry
-
-            if not registry.get_codec(codec_name).is_builtin:
-                raise RestorationError(
-                    f"codec {codec_name!r} is user-registered; the archived "
-                    "DynaRisc decoder only handles the PORTABLE profile — "
-                    "restore with decode_mode='python'"
-                )
-        if manifest is not None and len(manifest.segments) > 1:
-            payload, data_report, emulator_steps = self._restore_segmented(
-                manifest, data_images, decoder_code, notes, channel=channel
-            )
-        else:
-            if channel is not None:
-                # One-shot archive: a single batch, scanned with the same
-                # per-frame seed derivation the segmented jobs use.
-                data_images = _simulate_channel(data_images, channel, 0)
-            payload, data_report, emulator_steps = self._restore_whole_stream(
-                data_images, decoder_code, notes, codec_name=codec_name
-            )
+        # Step 5: recover the payload.
+        payload, data_report, emulator_steps = self._restore_payload(
+            manifest, data_images, decoder_code, notes, channel
+        )
 
         # Step 6: load the SQL archive into a present-day database.
         database = None
@@ -396,31 +369,106 @@ class RestoreEngine:
         )
 
     # ------------------------------------------------------------------ #
-    def _restore_whole_stream(
+    def _restore_payload(
         self,
+        manifest: ArchiveManifest | None,
         data_images: list[np.ndarray],
         decoder_code: bytes | None,
         notes: list[str],
-        codec_name: str | None = None,
+        channel: ChannelSpec | None,
     ) -> tuple[bytes, DecodeReport, int]:
-        """Steps 5a-5b over the whole data stream (one-shot archives).
+        """Step 5 through the restore pipeline.
 
-        ``decode_parallelism`` > 1 splits the per-image emblem decoding into
-        chunks mapped through the configured executor — the one-shot (single
-        huge segment) case the sub-segment parallelism exists for.
+        Segments decode independently and check against their manifest
+        records; without segment records the scans decode as one stream.
+        In python mode the pipeline finishes each segment inside its job;
+        the emulated modes (and record-less streams) take the pipeline's
+        DBCoder containers and decode them here.  With a ``channel``, each
+        job records/scans its frames through the simulated medium first.
         """
-        container, data_report = self.mocoder.decode(
-            data_images,
-            parallelism=self.decode_parallelism,
-            executor=resolve_decode_executor(self.executor, self.decode_parallelism),
-        )
-        if codec_name is not None:
+        codec_name = manifest.dbcoder_profile if manifest is not None else None
+        emulate = self.decode_mode != "python" and decoder_code is not None
+        if self.decode_mode != "python":
+            if codec_name is not None:
+                from repro import registry
+
+                if not registry.get_codec(codec_name).is_builtin:
+                    raise RestorationError(
+                        f"codec {codec_name!r} is user-registered; the archived "
+                        "DynaRisc decoder only handles the PORTABLE profile — "
+                        "restore with decode_mode='python'"
+                    )
+            if decoder_code is None:
+                notes.append(
+                    "no system emblems were provided; fell back to the reference decoder"
+                )
+        pipeline = self.pipeline
+        if channel is not None:
+            pipeline = RestorePipeline(
+                self.profile,
+                executor=self._executor,
+                channel=channel,
+                decode_parallelism=self.decode_parallelism,
+            )
+            notes.append(
+                f"channel simulated per batch over {channel.media} "
+                f"(streaming record/scan, seed={channel.seed})"
+            )
+
+        if manifest is not None and manifest.segments and not emulate:
+            payload, report, records = pipeline.restore_payload(manifest, data_images)
+            notes.append(
+                f"{len(records)} segments decoded independently "
+                f"(executor: {self.executor})"
+            )
+            return payload, report, 0
+
+        decoded: "Iterable[tuple[SegmentRecord | None, bytes, DecodeReport]]"
+        if manifest is not None and manifest.segments:
+            decoded = pipeline.iter_decode_containers(manifest, data_images)
+        else:
+            container, report = pipeline.decode_stream(data_images)
+            decoded = [(None, container, report)]
+        parts: list[bytes] = []
+        reports: list[DecodeReport] = []
+        emulator_steps = 0
+        for record, container, report in decoded:
+            part, steps = self._decode_container(
+                container, decoder_code if emulate else None, codec_name
+            )
+            if record is not None:
+                _verify_segment_payload(record, part)
+            emulator_steps += steps
+            parts.append(part)
+            reports.append(report)
+        payload = b"".join(parts)
+        if manifest is not None:
+            check_archive_totals(manifest, payload)
+        if emulate:
+            segments = f"{len(reports)} segment" + ("s" if len(reports) != 1 else "")
+            notes.append(
+                f"{segments} decoded under the {self.decode_mode} emulator "
+                f"({emulator_steps} emulated steps)"
+            )
+        return payload, merge_reports(reports), emulator_steps
+
+    def _decode_container(
+        self, container: bytes, decoder_code: bytes | None, codec_name: str | None
+    ) -> tuple[bytes, int]:
+        """Step 5b: one DBCoder container -> payload bytes (+ emulated steps).
+
+        ``decoder_code`` runs the archived decoder under the selected
+        emulator; without it the reference decoder (or the manifest's
+        user-registered codec) decodes.  Checked against the container's
+        own length/CRC either way.
+        """
+        if codec_name is not None and decoder_code is None:
             from repro import registry
 
             codec = registry.get_codec(codec_name)
             if not codec.is_builtin:
                 # User codecs own their container; decode verifies length/CRC.
-                return codec.decode(container), data_report, 0
+                return codec.decode(container), 0
         header, payload_stream = unpack_container(container)
         try:
             profile = Profile(header.profile_id)
@@ -430,94 +478,18 @@ class RestoreEngine:
                 "not a built-in profile; archives made with a user-registered codec "
                 "must be restored with their manifest (which names the codec)"
             ) from exc
-        emulator_steps = 0
-        if self.decode_mode == "python" or decoder_code is None:
+        steps = 0
+        if decoder_code is None:
             payload = DBCoder.decompress_payload(payload_stream, profile)
-            if self.decode_mode != "python":
-                notes.append(
-                    "no system emblems were provided; fell back to the reference decoder"
-                )
         else:
             self._require_portable(profile)
-            payload, emulator_steps = self._run_archived_decoder(decoder_code, payload_stream)
-            notes.append(
-                f"database layout decoded under the {self.decode_mode} emulator "
-                f"({emulator_steps} emulated steps)"
-            )
+            payload, steps = self._run_archived_decoder(decoder_code, payload_stream)
         if len(payload) != header.original_length or crc32_of(payload) != header.original_crc32:
             raise RestorationError(
                 "restored stream does not match the archived length/CRC; "
                 "the restoration is not bit-for-bit"
             )
-        return payload, data_report, emulator_steps
-
-    def _restore_segmented(
-        self,
-        manifest: ArchiveManifest,
-        data_images: list[np.ndarray],
-        decoder_code: bytes | None,
-        notes: list[str],
-        channel: ChannelSpec | None = None,
-    ) -> tuple[bytes, DecodeReport, int]:
-        """Steps 5a-5b per segment, via the restore pipeline.
-
-        With a ``channel``, each decode job records/scans its segment's
-        frames through the simulated medium first (streaming channel
-        simulation).
-        """
-        pipeline = RestorePipeline(
-            self.profile,
-            executor=self.executor,
-            channel=channel,
-            decode_parallelism=self.decode_parallelism,
-        )
-        emulator_steps = 0
-        if self.decode_mode == "python" or decoder_code is None:
-            if self.decode_mode != "python":
-                notes.append(
-                    "no system emblems were provided; fell back to the reference decoder"
-                )
-            payload, data_report, records = pipeline.restore_payload(manifest, data_images)
-            notes.append(
-                f"{len(records)} segments decoded independently "
-                f"(executor: {self.executor})"
-            )
-            if channel is not None:
-                notes.append(
-                    f"channel simulated per batch over {channel.media} "
-                    f"(streaming record/scan, seed={channel.seed})"
-                )
-            return payload, data_report, emulator_steps
-
-        # Emulated modes: the pipeline decodes each segment down to its
-        # DBCoder container; the archived decoder then runs per segment.
-        parts: list[bytes] = []
-        reports: list[DecodeReport] = []
-        for record, container, report in pipeline.iter_decode_containers(
-            manifest, data_images
-        ):
-            header, payload_stream = unpack_container(container)
-            self._require_portable(Profile(header.profile_id))
-            part, steps = self._run_archived_decoder(decoder_code, payload_stream)
-            emulator_steps += steps
-            if len(part) != header.original_length or crc32_of(part) != header.original_crc32:
-                raise RestorationError(
-                    f"segment {record.index}: restored stream does not match the "
-                    "archived length/CRC; the restoration is not bit-for-bit"
-                )
-            parts.append(part)
-            reports.append(report)
-        payload = b"".join(parts)
-        if len(payload) != manifest.archive_bytes or crc32_of(payload) != manifest.archive_crc32:
-            raise RestorationError(
-                "reassembled payload does not match the manifest's archive "
-                "length/CRC; the restoration is not bit-for-bit"
-            )
-        notes.append(
-            f"{len(reports)} segments decoded under the {self.decode_mode} emulator "
-            f"({emulator_steps} emulated steps)"
-        )
-        return payload, merge_reports(reports), emulator_steps
+        return payload, steps
 
     # ------------------------------------------------------------------ #
     # fsck: multi-generation archive verification
@@ -700,18 +672,12 @@ class RestoreEngine:
                         report.errors.append(f"{kind} frame {index}: {exc}")
             return report
 
-        pipeline = RestorePipeline(
-            self.profile,
-            executor=self.executor,
-            decode_parallelism=self.decode_parallelism,
-        )
-
         def frames_for(record: SegmentRecord) -> list[np.ndarray]:
             return source.get_frames("data", record.emblem_start, record.emblem_count)
 
         for record in active.segments:
             try:
-                for _ in pipeline.iter_decode_selected(active, [record], frames_for):
+                for _ in self.pipeline.iter_decode_selected(active, [record], frames_for):
                     pass
                 report.segments_checked += 1
                 report.frames_checked += record.emblem_count
@@ -720,11 +686,7 @@ class RestoreEngine:
         if active.system_emblem_count:
             try:
                 system_images = source.get_frames("system", 0, active.system_emblem_count)
-                self.mocoder.decode(
-                    system_images,
-                    parallelism=self.decode_parallelism,
-                    executor=resolve_decode_executor(self.executor, self.decode_parallelism),
-                )
+                self.pipeline.decode_stream(system_images)
                 report.frames_checked += active.system_emblem_count
             except ReproError as exc:
                 report.errors.append(f"system emblems: {exc}")
@@ -748,34 +710,3 @@ class RestoreEngine:
                                        step_limit=2_000_000_000)
         payload = nested.run()
         return payload, nested.steps
-
-
-class Restorer(RestoreEngine):
-    """Deprecated alias of :class:`RestoreEngine`.
-
-    Use :func:`repro.api.open_restore` (or :class:`RestoreEngine` directly
-    for engine-level access); this shim stays importable and round-trips
-    exactly as before, but warns.
-    """
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        warnings.warn(
-            "repro.core.Restorer is deprecated; use repro.api.open_restore() "
-            "(or repro.api.run_end_to_end) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
-def restore_archive_directory(directory: str, profile_name: str, decode_mode: str = "python") -> RestorationResult:
-    """Convenience wrapper: load a saved archive and restore it.
-
-    ``directory`` may be any :mod:`repro.store` target — a saved directory,
-    a single-file container archive, or a ``mem:`` key.
-    """
-    from repro.store import load_archive  # lazy: store builds on core
-
-    archive = load_archive(directory)
-    restorer = RestoreEngine(get_profile(profile_name), decode_mode=decode_mode)
-    return restorer.restore(archive)

@@ -202,27 +202,15 @@ class MOCoder:
             decoded[emblem.header.index] = emblem
         return decoded
 
-    def decode(
-        self,
-        images: list[np.ndarray],
-        parallelism: int = 1,
-        executor: "str | object | None" = None,
-    ) -> tuple[bytes, DecodeReport]:
+    def decode(self, images: list[np.ndarray]) -> tuple[bytes, DecodeReport]:
         """Recover the byte stream from scanned emblem images.
 
         Emblems may arrive in any order; missing or unreadable emblems are
         reconstructed from the outer code when no more than three emblems of
-        any group of twenty are lost.
-
-        ``parallelism`` > 1 splits the per-image decoding (the RS-heavy hot
-        path) into that many contiguous chunks and maps them through
-        ``executor`` (an executor spec or instance; defaults to a thread pool
-        of ``parallelism`` workers) before the serial group reassembly —
-        byte-identical to the serial decode for any chunking.  Chunks are
-        floored at :data:`MIN_DECODE_CHUNK` images: below that the executor
-        round-trip costs more than the vectorised decode it fans out, so
-        small streams collapse to the serial path (the recorded
-        ``decode_parallelism=2`` *slowdown* on the smoke payload).
+        any group of twenty are lost.  This is the serial
+        :meth:`decode_images` + :meth:`assemble`; the restore pipeline
+        (:class:`repro.pipeline.RestorePipeline`) splits larger streams into
+        chunks across an executor.
 
         Raises
         ------
@@ -232,51 +220,7 @@ class MOCoder:
             If the reassembled stream fails its CRC-32 check.
         """
         report = DecodeReport(emblems_seen=len(images))
-        bounds = chunk_bounds(len(images), parallelism, min_chunk=MIN_DECODE_CHUNK)
-        if parallelism > 1 and len(bounds) > 1:
-            decoded = self._decode_images_parallel(images, report, parallelism, executor, bounds)
-        else:
-            decoded = self.decode_images(images, report)
-        return self.assemble(decoded, report)
-
-    def _decode_images_parallel(
-        self,
-        images: list[np.ndarray],
-        report: DecodeReport,
-        parallelism: int,
-        executor: "str | object | None",
-        bounds: "list[tuple[int, int]]",
-    ) -> dict[int, Emblem]:
-        """Map :meth:`decode_images` over contiguous chunks via an executor."""
-        from repro.pipeline.executors import SegmentExecutor, get_executor
-
-        if executor is None:
-            executor = f"thread:{parallelism}"
-        resolved = get_executor(executor)
-        owns = not isinstance(executor, SegmentExecutor)
-        jobs = [
-            _ImageChunkJob(
-                spec=self.spec,
-                outer_code=self.outer_code_enabled,
-                image_offset=start,
-                images=images[start:end],
-            )
-            for start, end in bounds
-        ]
-        decoded: dict[int, Emblem] = {}
-        try:
-            for chunk_decoded, chunk_report in resolved.map_ordered(
-                _decode_image_chunk_job, iter(jobs)
-            ):
-                decoded.update(chunk_decoded)
-                report.emblems_decoded += chunk_report.emblems_decoded
-                report.emblems_failed += chunk_report.emblems_failed
-                report.rs_corrections += chunk_report.rs_corrections
-                report.failures.extend(chunk_report.failures)
-        finally:
-            if owns:
-                resolved.close()
-        return decoded
+        return self.assemble(self.decode_images(images, report), report)
 
     def assemble(self, decoded: dict[int, Emblem], report: DecodeReport) -> tuple[bytes, DecodeReport]:
         """Reassemble the byte stream from decoded emblems (the serial half).
@@ -358,55 +302,3 @@ class MOCoder:
                 chunks.append(payload)
         return chunks
 
-
-# --------------------------------------------------------------------------- #
-# Sub-stream parallel decode plumbing (module-level so process pools pickle it)
-# --------------------------------------------------------------------------- #
-#: Floor on images per decode chunk when a chunking caller does not override
-#: it.  The batched decode path amortises its per-call numpy dispatch across
-#: a whole chunk, so splitting a small stream across executor workers costs
-#: more (job pickling, thread wake-ups, a GIL'd merge) than it saves —
-#: ``decode_parallelism=2`` measured *0.89x of serial* on the 287-frame bench
-#: smoke payload before this floor collapsed such streams to one chunk.
-MIN_DECODE_CHUNK = 160
-
-
-def chunk_bounds(count: int, parts: int, min_chunk: int = 1) -> list[tuple[int, int]]:
-    """Split ``count`` items into at most ``parts`` contiguous (start, end) runs.
-
-    Runs differ in length by at most one and never come back empty, so the
-    split is deterministic and every item lands in exactly one run.
-    ``min_chunk`` caps ``parts`` so no run is shorter than it (a single run
-    is always allowed): parallel decode callers pass
-    :data:`MIN_DECODE_CHUNK` so tiny streams stay serial instead of paying
-    executor overhead per near-empty chunk.
-    """
-    if min_chunk > 1:
-        parts = min(parts, count // min_chunk)
-    parts = max(1, min(parts, count)) if count else 1
-    base, extra = divmod(count, parts)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(parts):
-        end = start + base + (1 if index < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
-@dataclass(frozen=True)
-class _ImageChunkJob:
-    """One contiguous slice of a stream's scans, decodable independently."""
-
-    spec: EmblemSpec
-    outer_code: bool
-    image_offset: int
-    images: list[np.ndarray]
-
-
-def _decode_image_chunk_job(job: _ImageChunkJob) -> tuple[dict[int, Emblem], DecodeReport]:
-    """Decode one image chunk to emblems (runs inside an executor worker)."""
-    mocoder = MOCoder(job.spec, outer_code=job.outer_code)
-    report = DecodeReport(emblems_seen=len(job.images))
-    decoded = mocoder.decode_images(list(job.images), report, image_offset=job.image_offset)
-    return decoded, report

@@ -1,9 +1,9 @@
 """The streaming, chunked archival/restore pipeline.
 
-The one-shot flow of :mod:`repro.core.archiver` materialises the payload,
-the DBCoder container and every emblem raster at once; fine for the paper's
-1.2 MB SQL archive, hopeless for multi-gigabyte dumps.  This module splits
-the same seven-step flow (Figure 2a) at the payload layer:
+A one-shot flow materialises the payload, the DBCoder container and every
+emblem raster at once; fine for the paper's 1.2 MB SQL archive, hopeless for
+multi-gigabyte dumps.  This module splits the seven-step flow (Figure 2a) at
+the payload layer:
 
 * the :mod:`~repro.pipeline.segmenter` slices the payload into fixed-size
   segments, reading file-like sources incrementally;
@@ -18,7 +18,9 @@ the same seven-step flow (Figure 2a) at the payload layer:
 Restoration mirrors the split: every :class:`~repro.core.archive.
 SegmentRecord` names the emblem frames of one segment, so segments decode
 independently (and in parallel), and damage in one segment never forces the
-others to be re-decoded.
+others to be re-decoded.  :class:`RestorePipeline` is the only code that
+splits restore work into jobs: every full, partial and emulated restore,
+the system-emblem stream and ``verify`` decode through it.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ from repro.dbcoder.dbcoder import Profile
 from repro.dynarisc.programs import get_program
 from repro.errors import RestorationError
 from repro.mocoder.emblem import EmblemKind, EmblemSpec
-from repro.mocoder.mocoder import (
-    MIN_DECODE_CHUNK,
-    DecodeReport,
-    Emblem,
-    MOCoder,
-    chunk_bounds,
-)
+from repro.mocoder.mocoder import DecodeReport, Emblem, MOCoder
 from repro.nested import dynarisc_emulator_image
 from repro.pipeline.executors import SegmentExecutor, get_executor
 from repro.pipeline.segmenter import (
@@ -181,15 +177,54 @@ def _encode_segment_job(job: _EncodeJob) -> _EncodeResult:
     )
 
 
+#: Floor on images per decode chunk.  The batched decode path amortises its
+#: per-call numpy dispatch across a whole chunk, so splitting a small stream
+#: across executor workers costs more (job pickling, thread wake-ups, a GIL'd
+#: merge) than it saves — ``decode_parallelism=2`` measured *0.89x of serial*
+#: on the 287-frame bench smoke payload before this floor collapsed such
+#: streams to one chunk.
+MIN_DECODE_CHUNK = 160
+
+
+def chunk_bounds(count: int, parts: int, min_chunk: int = 1) -> list[tuple[int, int]]:
+    """Split ``count`` items into at most ``parts`` contiguous (start, end) runs.
+
+    Runs differ in length by at most one and never come back empty, so the
+    split is deterministic and every item lands in exactly one run.
+    ``min_chunk`` caps ``parts`` so no run is shorter than it (a single run
+    is always allowed): the restore pipeline passes :data:`MIN_DECODE_CHUNK`
+    so tiny streams stay one job instead of paying executor overhead per
+    near-empty chunk.
+    """
+    if min_chunk > 1:
+        parts = min(parts, count // min_chunk)
+    parts = max(1, min(parts, count)) if count else 1
+    base, extra = divmod(count, parts)
+    bounds: list[tuple[int, int]] = []
+    start = 0
+    for index in range(parts):
+        end = start + base + (1 if index < extra else 0)
+        bounds.append((start, end))
+        start = end
+    return bounds
+
+
 @dataclass(frozen=True)
 class _DecodeJob:
+    """One contiguous run of one segment's scans (all of them when
+    ``chunk_count`` is 1)."""
+
     spec: EmblemSpec
     record: SegmentRecord
     images: list[np.ndarray]
-    decode_payload: bool
-    #: Codec registry name from the archive manifest (``"PORTABLE"`` and
-    #: friends resolve case-insensitively to the built-ins).
-    codec: str = "portable"
+    #: Codec registry name (``"PORTABLE"`` and friends resolve
+    #: case-insensitively to the built-ins) when the segment is restored to
+    #: payload bytes; ``None`` stops at the DBCoder container.
+    codec: str | None
+    #: How many jobs the segment was split into, and the index of
+    #: ``images[0]`` within the segment's scans.
+    chunk_count: int = 1
+    chunk_start: int = 0
     #: When set, the job records/scans its images through the simulated
     #: medium before decoding (streaming channel simulation).
     channel: ChannelSpec | None = None
@@ -198,9 +233,15 @@ class _DecodeJob:
 @dataclass(frozen=True)
 class _DecodeResult:
     record: SegmentRecord
-    payload: bytes | None
-    container: bytes
+    chunk_count: int
     report: DecodeReport
+    #: A finished segment carries its container (and, with a codec, its
+    #: verified payload) ...
+    container: bytes | None = None
+    payload: bytes | None = None
+    #: ... one chunk of a split segment its decoded emblems, which the
+    #: consumer assembles once the segment's last chunk lands.
+    emblems: list[Emblem] | None = None
 
 
 def _verify_segment_payload(record: SegmentRecord, payload: bytes) -> None:
@@ -221,67 +262,45 @@ def _verify_segment_payload(record: SegmentRecord, payload: bytes) -> None:
         )
 
 
-def _decode_segment_job(job: _DecodeJob) -> _DecodeResult:
-    """Step 5 for one segment: scanned rasters -> container (-> payload)."""
+def _finish_segment(
+    record: SegmentRecord, container: bytes, report: DecodeReport, codec: str | None
+) -> _DecodeResult:
+    """Codec-decode a segment's container and verify it against its record."""
     from repro import registry  # deferred: registry imports this package
 
-    images = list(job.images)
-    if job.channel is not None:
-        images = _simulate_channel(images, job.channel, job.record.emblem_start)
-    mocoder = MOCoder(job.spec)
-    container, report = mocoder.decode(images)
     payload = None
-    if job.decode_payload:
-        payload = registry.get_codec(job.codec).decode(container)
-        _verify_segment_payload(job.record, payload)
+    if codec is not None:
+        payload = registry.get_codec(codec).decode(container)
+        _verify_segment_payload(record, payload)
     return _DecodeResult(
-        record=job.record, payload=payload, container=container, report=report
+        record=record, chunk_count=1, report=report, container=container, payload=payload
     )
 
 
-# --------------------------------------------------------------------------- #
-# Sub-segment decode jobs: one segment's scans split into contiguous chunks so
-# a single huge segment no longer serialises restore (decode_parallelism > 1).
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _SegmentChunkJob:
-    spec: EmblemSpec
-    record: SegmentRecord
-    #: 0-based position of this chunk within its segment, and the total
-    #: chunk count — the consumer regroups on these (map_ordered keeps all
-    #: of one segment's chunks consecutive).
-    chunk_index: int
-    chunk_count: int
-    #: Index of ``images[0]`` within the segment's emblem run.
-    chunk_start: int
-    images: list[np.ndarray]
-    channel: ChannelSpec | None = None
+def _decode_job(job: _DecodeJob) -> _DecodeResult:
+    """Step 5 for one job: channel-simulate (optionally), then emblem-decode.
 
-
-@dataclass(frozen=True)
-class _SegmentChunkResult:
-    record: SegmentRecord
-    chunk_index: int
-    chunk_count: int
-    emblems: list["Emblem"]
-    report: DecodeReport
-
-
-def _decode_segment_chunk_job(job: _SegmentChunkJob) -> _SegmentChunkResult:
-    """Channel-simulate (optionally) and emblem-decode one chunk of scans."""
+    A segment that is a single job finishes here (assemble, codec decode,
+    hash check), so process pools run the LZSS decode in parallel too; a
+    chunk of a split segment returns its emblems for the consumer to
+    assemble.
+    """
     images = list(job.images)
-    frame_start = job.record.emblem_start + job.chunk_start
     if job.channel is not None:
-        images = _simulate_channel(images, job.channel, frame_start)
+        images = _simulate_channel(
+            images, job.channel, job.record.emblem_start + job.chunk_start
+        )
     mocoder = MOCoder(job.spec)
+    if job.chunk_count == 1:
+        container, report = mocoder.decode(images)
+        return _finish_segment(job.record, container, report, job.codec)
     report = DecodeReport(emblems_seen=len(images))
     decoded = mocoder.decode_images(images, report, image_offset=job.chunk_start)
-    return _SegmentChunkResult(
+    return _DecodeResult(
         record=job.record,
-        chunk_index=job.chunk_index,
         chunk_count=job.chunk_count,
-        emblems=list(decoded.values()),
         report=report,
+        emblems=list(decoded.values()),
     )
 
 
@@ -517,24 +536,31 @@ class _CrcTally:
 class RestorePipeline:
     """Per-segment restoration: scanned emblem rasters -> payload bytes.
 
+    This is the one place restore work is split into jobs and mapped through
+    an executor: full restores (one-shot and segmented), the system-emblem
+    stream, the emulated decode modes, ``verify`` and partial reads all
+    decode here.
+
     Parameters
     ----------
     profile:
         Media profile whose emblem spec the scans were produced with.
     executor:
-        Executor spec or instance mapping the per-segment (or per-chunk)
-        decode jobs.
+        Executor spec or instance mapping the decode jobs.  The pipeline
+        closes an executor it resolved from a name after each decode; an
+        instance stays open for its owner to reuse and close.
     channel:
         Optional :class:`ChannelSpec`.  When set, every decode job *records*
         its emblem rasters onto the named medium and *scans* them back
         (per-frame seeded) before decoding — streaming channel simulation,
-        batch by batch through the executor, replacing the historical
-        whole-archive record/scan pass.
+        batch by batch through the executor.
     decode_parallelism:
         Sub-segment parallelism: when > 1, each segment's scans are split
         into up to that many contiguous chunks decoded as independent
         executor jobs (the serial group reassembly runs on the consuming
         thread), so one huge segment no longer bounds restore latency.
+        Chunks never shrink below :data:`MIN_DECODE_CHUNK` images, so small
+        segments stay one job.
     """
 
     def __init__(
@@ -552,9 +578,16 @@ class RestorePipeline:
 
     # ------------------------------------------------------------------ #
     def _frames_from_list(
-        self, data_images: list[np.ndarray]
+        self, manifest: ArchiveManifest, data_images: list[np.ndarray]
     ) -> "Callable[[SegmentRecord], list[np.ndarray]]":
-        """A frame provider slicing a fully materialised scan list."""
+        """A frame provider over a fully materialised scan list.
+
+        A one-segment archive is one self-describing emblem stream, so its
+        segment takes every scan given, missing or reordered ones included;
+        with several segments each one slices its own frame run.
+        """
+        if len(manifest.segments) == 1:
+            return lambda record: data_images
 
         def frames_for(record: SegmentRecord) -> list[np.ndarray]:
             end = record.emblem_start + record.emblem_count
@@ -570,131 +603,99 @@ class RestorePipeline:
 
         return frames_for
 
-    def _iter_results(
+    def _jobs(
         self,
-        manifest: ArchiveManifest,
         records: Iterable[SegmentRecord],
         frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-        decode_payload: bool,
+        codec: str | None,
+    ) -> Iterator[_DecodeJob]:
+        for record in records:
+            images = frames_for(record)
+            bounds = chunk_bounds(
+                len(images), self.decode_parallelism, min_chunk=MIN_DECODE_CHUNK
+            )
+            for start, end in bounds:
+                yield _DecodeJob(
+                    spec=self.profile.spec,
+                    record=record,
+                    images=images[start:end],
+                    codec=codec,
+                    chunk_count=len(bounds),
+                    chunk_start=start,
+                    channel=self.channel,
+                )
+
+    def _iter_results(
+        self,
+        records: Iterable[SegmentRecord],
+        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
+        codec: str | None,
     ) -> Iterator[_DecodeResult]:
         """Decode ``records`` in order through the executor.
 
         ``frames_for`` is called lazily (inside the executor's bounded
         submission window) with one record at a time, so a storage-backed
         caller only ever pulls the frames of the segments actually being
-        decoded.
-        """
-        codec = manifest.dbcoder_profile or "portable"
-        if self.decode_parallelism > 1:
-            yield from self._iter_results_chunked(codec, records, frames_for, decode_payload)
-            return
-        executor = get_executor(self.executor)
-
-        def jobs() -> Iterator[_DecodeJob]:
-            for record in records:
-                yield _DecodeJob(
-                    spec=self.profile.spec,
-                    record=record,
-                    images=frames_for(record),
-                    decode_payload=decode_payload,
-                    codec=codec,
-                    channel=self.channel,
-                )
-
-        try:
-            yield from executor.map_ordered(_decode_segment_job, jobs())
-        finally:
-            if self._owns_executor:
-                executor.close()
-
-    # ------------------------------------------------------------------ #
-    # Sub-segment (chunked) decode
-    # ------------------------------------------------------------------ #
-    def _chunk_jobs(
-        self,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-    ) -> Iterator[_SegmentChunkJob]:
-        for record in records:
-            images = frames_for(record)
-            # Floored chunks: a small segment is one vectorised decode call,
-            # so fanning it out would only add executor round-trips.
-            bounds = chunk_bounds(
-                len(images), self.decode_parallelism, min_chunk=MIN_DECODE_CHUNK
-            )
-            for chunk_index, (start, end) in enumerate(bounds):
-                yield _SegmentChunkJob(
-                    spec=self.profile.spec,
-                    record=record,
-                    chunk_index=chunk_index,
-                    chunk_count=len(bounds),
-                    chunk_start=start,
-                    images=images[start:end],
-                    channel=self.channel,
-                )
-
-    def _finish_chunked_segment(
-        self, chunks: list[_SegmentChunkResult], codec: str, decode_payload: bool
-    ) -> _DecodeResult:
-        """Serial tail of one segment's chunked decode: assemble and verify."""
-        from repro import registry  # deferred: registry imports this package
-
-        record = chunks[0].record
-        decoded: dict[int, Emblem] = {}
-        for chunk in chunks:
-            for emblem in chunk.emblems:
-                decoded[emblem.header.index] = emblem
-        report = merge_reports(chunk.report for chunk in chunks)
-        mocoder = MOCoder(self.profile.spec)
-        container, report = mocoder.assemble(decoded, report)
-        payload = None
-        if decode_payload:
-            payload = registry.get_codec(codec).decode(container)
-            _verify_segment_payload(record, payload)
-        return _DecodeResult(
-            record=record, payload=payload, container=container, report=report
-        )
-
-    def _iter_results_chunked(
-        self,
-        codec: str,
-        records: Iterable[SegmentRecord],
-        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
-        decode_payload: bool,
-    ) -> Iterator[_DecodeResult]:
-        """Chunked decode: ``decode_parallelism`` jobs per segment.
-
-        ``map_ordered`` preserves submission order, so all chunks of one
-        segment arrive consecutively; each segment finishes (group
-        reassembly, codec decode, hash verification) on the consuming thread
-        as soon as its last chunk lands, while later chunks keep decoding in
-        the executor.
+        decoded.  ``map_ordered`` preserves submission order, so the chunks
+        of a split segment arrive consecutively; the segment finishes on
+        this thread as soon as its last chunk lands, while later jobs keep
+        decoding in the executor.
         """
         executor = get_executor(self.executor)
-        pending: list[_SegmentChunkResult] = []
+        chunks: list[_DecodeResult] = []
         try:
-            for chunk in executor.map_ordered(
-                _decode_segment_chunk_job, self._chunk_jobs(records, frames_for)
+            for result in executor.map_ordered(
+                _decode_job, self._jobs(records, frames_for, codec)
             ):
-                pending.append(chunk)
-                if len(pending) == chunk.chunk_count:
-                    yield self._finish_chunked_segment(pending, codec, decode_payload)
-                    pending = []
+                if result.chunk_count == 1:
+                    yield result
+                    continue
+                chunks.append(result)
+                if len(chunks) == result.chunk_count:
+                    yield self._assemble_chunks(chunks, codec)
+                    chunks = []
         finally:
             if self._owns_executor:
                 executor.close()
 
+    def _assemble_chunks(
+        self, chunks: list[_DecodeResult], codec: str | None
+    ) -> _DecodeResult:
+        """Serial tail of one split segment: group reassembly, then finish."""
+        decoded = {
+            emblem.header.index: emblem
+            for chunk in chunks
+            for emblem in chunk.emblems or ()
+        }
+        report = merge_reports(chunk.report for chunk in chunks)
+        container, report = MOCoder(self.profile.spec).assemble(decoded, report)
+        return _finish_segment(chunks[0].record, container, report, codec)
+
     # ------------------------------------------------------------------ #
+    def decode_stream(self, images: list[np.ndarray]) -> tuple[bytes, DecodeReport]:
+        """Decode one emblem stream that no segment record describes.
+
+        That is the system-emblem stream, and the data scans of a manifest
+        without segment records (or of a restore given no manifest).  Every
+        scan given belongs to the stream; emblem headers are
+        self-describing, so scans may come in any order and missing ones
+        are rebuilt from the outer code.
+        """
+        record = SegmentRecord(
+            index=0, offset=0, length=0, crc32=0,
+            emblem_start=0, emblem_count=len(images), container_bytes=0,
+        )
+        (result,) = self._iter_results([record], lambda _record: images, None)
+        assert result.container is not None
+        return result.container, result.report
+
     def iter_decode(
         self, manifest: ArchiveManifest, data_images: list[np.ndarray]
     ) -> Iterator[DecodedSegment]:
         """Decode each segment independently, in payload order."""
-        for result in self._iter_results(
-            manifest, manifest.segments, self._frames_from_list(data_images), True
-        ):
-            yield DecodedSegment(
-                record=result.record, payload=result.payload, report=result.report
-            )
+        return self._decoded_segments(
+            manifest, manifest.segments, self._frames_from_list(manifest, data_images)
+        )
 
     def iter_decode_selected(
         self,
@@ -706,12 +707,23 @@ class RestorePipeline:
 
         This is the random-access path behind
         :meth:`repro.api.ArchiveReader.read_range` /
-        :meth:`~repro.api.ArchiveReader.restore_segment`: ``frames_for`` is
-        called lazily (inside the executor's bounded submission window) with
-        one record at a time, so a storage-backed reader only ever pulls the
+        :meth:`~repro.api.ArchiveReader.restore_segment` and
+        :meth:`repro.core.RestoreEngine.verify`: ``frames_for`` is called
+        lazily (inside the executor's bounded submission window) with one
+        record at a time, so a storage-backed reader only ever pulls the
         frames of the segments actually being decoded.
         """
-        for result in self._iter_results(manifest, records, frames_for, True):
+        return self._decoded_segments(manifest, records, frames_for)
+
+    def _decoded_segments(
+        self,
+        manifest: ArchiveManifest,
+        records: Iterable[SegmentRecord],
+        frames_for: "Callable[[SegmentRecord], list[np.ndarray]]",
+    ) -> Iterator[DecodedSegment]:
+        codec = manifest.dbcoder_profile or "portable"
+        for result in self._iter_results(records, frames_for, codec):
+            assert result.payload is not None
             yield DecodedSegment(
                 record=result.record, payload=result.payload, report=result.report
             )
@@ -725,8 +737,9 @@ class RestorePipeline:
         decoding runs under DynaRisc/VeRisc in the caller's control.
         """
         for result in self._iter_results(
-            manifest, manifest.segments, self._frames_from_list(data_images), False
+            manifest.segments, self._frames_from_list(manifest, data_images), None
         ):
+            assert result.container is not None
             yield result.record, result.container, result.report
 
     # ------------------------------------------------------------------ #
@@ -749,9 +762,14 @@ class RestorePipeline:
             reports.append(decoded.report)
             records.append(decoded.record)
         payload = b"".join(parts)
-        if len(payload) != manifest.archive_bytes or crc32_of(payload) != manifest.archive_crc32:
-            raise RestorationError(
-                "reassembled payload does not match the manifest's archive "
-                "length/CRC; the restoration is not bit-for-bit"
-            )
+        check_archive_totals(manifest, payload)
         return payload, merge_reports(reports), records
+
+
+def check_archive_totals(manifest: ArchiveManifest, payload: bytes) -> None:
+    """Check a reassembled payload against the manifest's archive length/CRC."""
+    if len(payload) != manifest.archive_bytes or crc32_of(payload) != manifest.archive_crc32:
+        raise RestorationError(
+            "reassembled payload does not match the manifest's archive "
+            "length/CRC; the restoration is not bit-for-bit"
+        )

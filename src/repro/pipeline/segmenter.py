@@ -1,8 +1,8 @@
 """Payload segmentation for the streaming archival pipeline.
 
-The one-shot :class:`~repro.core.archiver.Archiver` feeds the *whole* payload
-through DBCoder and MOCoder at once, so its peak memory scales with the
-payload.  The pipeline instead slices the payload into fixed-size segments;
+A one-shot archive (``segment_size=None``) feeds the *whole* payload through
+DBCoder and MOCoder at once, so its peak memory scales with the payload.
+The pipeline instead slices the payload into fixed-size segments;
 each segment flows through the coders independently, so peak memory is
 bounded by the segment size (times the number of in-flight segments) no
 matter how large the payload is.

@@ -139,9 +139,8 @@ def _local_spec(
 def open_sink(target: "str | Path | TargetSpec", store: str | None = None) -> ArchiveSink:
     """Open ``target`` for writing with the backend its spelling names.
 
-    Every spelling routes through :func:`parse_target`; a bare path with no
-    ``store=`` falls back to the ``directory`` backend (behind the bare-path
-    :class:`DeprecationWarning`).
+    Every spelling routes through :func:`parse_target`; a new bare path with
+    no ``store=`` falls back to the ``directory`` backend.
     """
     spec = _local_spec(target, store, default_store="directory")
     assert spec.store is not None  # default_store guarantees it

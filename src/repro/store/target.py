@@ -22,10 +22,9 @@ one parser, :func:`parse_target`, which returns a typed :class:`TargetSpec`:
     and fall back to the session's :class:`~repro.api.ArchiveConfig`
     defaults.
 
-Bare paths keep working: a scheme-less string is inferred from the target's
-shape behind a :class:`DeprecationWarning`, and :class:`pathlib.Path`
-objects stay silent (a ``Path`` *is* an explicit filesystem-path spelling —
-only directory-vs-container remains to infer).  Unknown schemes raise the
+Bare paths keep working: a scheme-less string, like a
+:class:`pathlib.Path`, is a filesystem path whose backend (directory or
+container) is inferred from the target's shape.  Unknown schemes raise the
 registry-style did-you-mean :class:`~repro.errors.UnknownNameError`.
 """
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import difflib
 import re
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -297,9 +295,8 @@ def parse_target(
     ----------
     raw:
         A target URI string (see the module docs for the grammar), a bare
-        path string (deprecated — infers the backend behind a
-        :class:`DeprecationWarning`), a :class:`~pathlib.Path` (explicit
-        filesystem target, inferred silently), or an already-parsed
+        path string or :class:`~pathlib.Path` (a filesystem target whose
+        backend is inferred from its shape), or an already-parsed
         :class:`TargetSpec` (passed through).
     store:
         Optional explicit backend name (the legacy ``store=``/``--store``
@@ -356,7 +353,7 @@ def parse_target(
                 raw,
             )
         raise _unknown_scheme(match.group(1))
-    # Scheme-less string: the legacy bare-path spelling.
+    # Scheme-less string: a bare filesystem path.
     if store is not None:
         canonical = _canonical_store(store)
         scheme = _STORE_SCHEMES.get(canonical, "path")
@@ -368,13 +365,6 @@ def parse_target(
         return TargetSpec(scheme=scheme, store=canonical, target=text)
     path = Path(text)
     inferred = _infer_path_store(path) or default_store
-    warnings.warn(
-        f"bare target path {text!r} is deprecated; spell the backend "
-        f"explicitly as a target URI (dir:{text} for a directory archive, "
-        f"file:{text} for a container) or pass store=...",
-        DeprecationWarning,
-        stacklevel=3,
-    )
     return TargetSpec(
         scheme="path",
         store=None if inferred is None else _canonical_store(inferred),

@@ -3,14 +3,16 @@
 Covers the ArchiveConfig JSON contract (round-trip + rejection of unknown
 names/keys), the registry register/duplicate/unregister/did-you-mean paths,
 session-based streaming I/O, the one-call end-to-end flow across media
-channels and codecs selected purely by name, the deprecation shims, and a
-``python -m repro`` CLI smoke test via subprocess.
+channels and codecs selected purely by name, the facade calls that replace
+the removed ``Archiver`` / ``Restorer`` classes, and a ``python -m repro``
+CLI smoke test via subprocess.
 """
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,6 @@ import pytest
 
 from repro import (
     ArchiveConfig,
-    Archiver,
-    Restorer,
-    TEST_PROFILE,
     open_archive,
     open_restore,
     registry,
@@ -228,21 +227,30 @@ class TestRunEndToEnd:
 # --------------------------------------------------------------------------- #
 # Deprecation shims
 # --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_archiver_restorer_still_roundtrip_but_warn(self):
+class TestRemovedShims:
+    def test_facade_replaces_archiver_and_restorer(self):
+        """The migration-table calls round-trip what the shims did, silently."""
         payload = b"shim payload " * 100
-        with pytest.warns(DeprecationWarning, match="open_archive"):
-            archiver = Archiver(TEST_PROFILE)
-        archive = archiver.archive_bytes(payload)
-        with pytest.warns(DeprecationWarning, match="open_restore"):
-            restorer = Restorer(TEST_PROFILE)
-        assert restorer.restore(archive).payload == payload
+        config = ArchiveConfig(media="test", codec="store")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open_archive(config) as writer:
+                writer.write(payload)
+            archive = writer.archive
+            assert open_restore(archive).read().payload == payload
+        # Archiver.estimate_emblems -> ArchiveConfig.estimate_emblems (exact
+        # for the store codec).
+        assert config.estimate_emblems(len(payload)) == archive.manifest.data_emblem_count
 
-    def test_shims_importable_from_the_package_root(self):
+    def test_shims_are_gone_from_the_package_root(self):
         import repro
+        import repro.core
 
-        assert repro.Archiver is Archiver
-        assert repro.Restorer is Restorer
+        for name in ("Archiver", "Restorer"):
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.core, name)
+        assert repro.RestoreEngine is repro.core.RestoreEngine
 
 
 # --------------------------------------------------------------------------- #

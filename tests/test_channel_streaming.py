@@ -7,8 +7,8 @@ contract:
 
 * :meth:`~repro.media.channel.MediaChannel.scan_frames` is batching- and
   order-invariant (a hypothesis property over split points and seeds),
-* the streaming per-batch record/scan path restores bit-identically to the
-  deprecated whole-frame pass across media × executors,
+* the streaming per-batch record/scan path restores bit-identically to a
+  whole-frame ``channel.roundtrip`` pass across media × executors,
 * ``decode_parallelism`` > 1 restores bit-identically to the serial decode,
   for segmented and one-shot (single huge segment) archives alike — for the
   *system-emblem* stream too, which decodes through the same chunked path,
@@ -19,8 +19,6 @@ factory fixtures in ``conftest.py``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -91,9 +89,14 @@ class TestStreamingChannelEquivalence:
         archive = build_archive(config, payload)
         engine = RestoreEngine(config.media_profile(), executor=executor)
         streamed = engine.restore_via_channel(archive, seed=13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            whole = engine.restore_via_channel(archive, seed=13, streaming=False)
+        # The whole-frame pass: one RNG threaded across every frame.
+        channel = config.media_profile().channel()
+        whole = open_restore(archive, config).read_from_scans(
+            channel.roundtrip(archive.data_emblem_images, seed=13),
+            system_images=channel.roundtrip(archive.system_emblem_images, seed=13),
+            payload_kind=archive.manifest.payload_kind,
+            manifest=archive.manifest,
+        )
         assert streamed.payload == whole.payload == payload
         assert any("per batch" in note for note in streamed.notes)
 

@@ -1,8 +1,7 @@
 """End-to-end tests of the Micr'Olonys archival / restoration flows (Figure 2).
 
-Exercises the flows through the :mod:`repro.api` facade (the canonical entry
-point); the deprecated ``Archiver`` / ``Restorer`` shims have their own
-round-trip coverage in ``tests/test_api.py``.
+Exercises the flows through the :mod:`repro.api` facade, the one entry point
+for archiving and restoring.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro import (
     open_restore,
 )
 from repro.core.profiles import PROFILES, get_profile
-from repro.core.restorer import restore_archive_directory
 from repro.errors import ConfigError, RestorationError, UnknownNameError
 
 
@@ -132,7 +130,7 @@ class TestArchivePersistence:
         loaded = MicrOlonysArchive.load(directory)
         assert loaded.manifest == tiny_archive.manifest
         assert len(loaded.data_emblem_images) == len(tiny_archive.data_emblem_images)
-        result = restore_archive_directory(str(directory), "test-small")
+        result = open_restore(f"dir:{directory}").read()
         assert result.database == tiny_database
 
     def test_open_restore_from_directory(self, tiny_database, tiny_archive, tmp_path):
@@ -145,3 +143,57 @@ class TestArchivePersistence:
         from repro.errors import ArchiveError
         with pytest.raises(ArchiveError):
             MicrOlonysArchive.load(tmp_path)
+
+
+class TestOneRestoreRoute:
+    """One-shot archives decode through the same pipeline as segmented ones."""
+
+    def test_one_segment_sha256_mismatch_fails_a_full_read(self, tiny_archive):
+        import dataclasses
+
+        manifest = tiny_archive.manifest
+        assert len(manifest.segments) == 1
+        (record,) = manifest.segments
+        forged = dataclasses.replace(
+            manifest, segments=(dataclasses.replace(record, sha256="0" * 64),)
+        )
+        archive = dataclasses.replace(tiny_archive, manifest=forged)
+        with pytest.raises(RestorationError, match="SHA-256"):
+            open_restore(archive).read()
+        with pytest.raises(RestorationError, match="SHA-256"):
+            open_restore(archive).read_range(0, 100)
+
+    def test_one_segment_scans_with_dropped_frames_restore(self, tiny_database,
+                                                           tiny_archive):
+        scans = tiny_archive.data_emblem_images
+        assert len(scans) > 4
+        # Two frames of the first 20-frame group lost outright: within the
+        # outer code's 3-of-20 budget.
+        surviving = [scan for index, scan in enumerate(scans) if index not in (0, 3)]
+        result = open_restore(tiny_archive).read_from_scans(
+            surviving,
+            system_images=tiny_archive.system_emblem_images,
+            payload_kind="sql",
+            manifest=tiny_archive.manifest,
+        )
+        assert result.database == tiny_database
+        assert result.data_report.emblems_seen == len(surviving)
+        assert result.data_report.groups_reconstructed >= 1
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_emulated_one_shot_restore_equals_python(self, tiny_archive, parallelism,
+                                                     monkeypatch):
+        from repro.pipeline import pipeline as pipeline_module
+
+        # Lower the chunk floor so decode_parallelism=3 really splits the
+        # one-shot stream into three jobs.
+        monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 4)
+        python = open_restore(tiny_archive).read()
+        emulated = open_restore(
+            tiny_archive, decode_mode="dynarisc", decode_parallelism=parallelism
+        ).read()
+        assert emulated.payload == python.payload
+        assert emulated.emulator_steps > 0
+        assert emulated.data_report.emblems_decoded == python.data_report.emblems_decoded
+        assert emulated.data_report.emblems_seen == python.data_report.emblems_seen
+        assert emulated.system_report.emblems_decoded == python.system_report.emblems_decoded

@@ -13,7 +13,8 @@ implementation in the tree; this suite pins them together with hypothesis:
 - ``_band_centers_rows`` vs ``EmblemSampler._band_centers``;
 - ``_otsu_threshold_stack`` vs ``otsu_threshold``;
 - the Bootstrap letter codec vs its per-character loops;
-- the ``chunk_bounds`` minimum-chunk floor and serial/chunked decode equality.
+- the ``chunk_bounds`` minimum-chunk floor and serial/chunked decode equality
+  through the restore pipeline.
 """
 
 import numpy as np
@@ -38,13 +39,15 @@ from repro.mocoder.emblem import (
     otsu_threshold,
 )
 from repro.mocoder.interleave import deinterleave_blocks, deinterleave_blocks_batch
-from repro.mocoder.mocoder import MIN_DECODE_CHUNK, DecodeReport, chunk_bounds
 from repro.mocoder.outer_code import (
     OuterCode,
     _gf_matrix_multiply,
     _gf_matrix_multiply_reference,
 )
 from repro.mocoder.reed_solomon import get_code
+from repro.pipeline import RestorePipeline
+from repro.pipeline import pipeline as pipeline_module
+from repro.pipeline.pipeline import MIN_DECODE_CHUNK, chunk_bounds
 from repro.core.profiles import get_profile
 
 SPEC = get_profile("test").spec
@@ -321,21 +324,34 @@ class TestChunkFloor:
                 flattened = [i for start, stop in bounds for i in range(start, stop)]
                 assert flattened == list(range(count)), (count, parts)
 
-    def test_parallel_decode_output_equals_serial(self, rng):
+    def test_parallel_decode_output_equals_serial(self, rng, monkeypatch):
         coder = MOCoder(SPEC)
         payload = rng.integers(0, 256, size=SPEC.payload_capacity * 5, dtype=np.uint8).tobytes()
         stream = coder.encode(payload)
         images = [emblem.to_image().astype(np.uint8) for emblem in stream.emblems]
-        serial_payload, serial_report = coder.decode(images, parallelism=1)
-        floored_payload, floored_report = coder.decode(images, parallelism=2)
+        profile = get_profile("test")
+        serial_payload, serial_report = coder.decode(images)
+        floored_payload, floored_report = RestorePipeline(
+            profile, decode_parallelism=2
+        ).decode_stream(images)
         assert floored_payload == serial_payload == payload
         assert floored_report.emblems_decoded == serial_report.emblems_decoded
-        # Force real chunking (bypassing the floor) to pin byte-identity of
-        # the chunked path itself, not just the floor's collapse to serial.
-        report = DecodeReport(emblems_seen=len(images))
-        bounds = chunk_bounds(len(images), 2, min_chunk=1)
-        assert len(bounds) == 2
-        decoded = coder._decode_images_parallel(images, report, 2, None, bounds)
-        chunked_payload, chunked_report = coder.assemble(decoded, report)
+        # Force real chunking (lowering the floor) to pin byte-identity of
+        # the pipeline's chunked path itself, not just the floor's collapse
+        # to one job.
+        monkeypatch.setattr(pipeline_module, "MIN_DECODE_CHUNK", 1)
+        job_function = pipeline_module._decode_job
+        chunk_counts = []
+
+        def counting_job(job):
+            chunk_counts.append(job.chunk_count)
+            return job_function(job)
+
+        monkeypatch.setattr(pipeline_module, "_decode_job", counting_job)
+        chunked_payload, chunked_report = RestorePipeline(
+            profile, decode_parallelism=2
+        ).decode_stream(images)
+        assert chunk_counts == [2, 2]
         assert chunked_payload == serial_payload
         assert chunked_report.emblems_decoded == serial_report.emblems_decoded
+        assert chunked_report.emblems_seen == serial_report.emblems_seen

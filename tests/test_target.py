@@ -3,9 +3,9 @@
 :func:`repro.store.parse_target` is the single front door through which
 ``open_archive`` / ``open_restore`` / the CLI / the server route every
 target.  These tests pin the grammar itself: each scheme parses to the
-right backend, legacy bare-path spellings keep working behind a
-:class:`DeprecationWarning`, unknown schemes raise the registry-style
-did-you-mean error, contradictions between a URI scheme and an explicit
+right backend, bare-path strings keep working silently (their backend
+inferred from shape, as for a ``Path``), unknown schemes raise the
+registry-style did-you-mean error, contradictions between a URI scheme and an explicit
 ``store=`` override fail loudly, and the ``vol:`` sub-grammar validates
 its geometry eagerly.
 """
@@ -81,31 +81,35 @@ class TestSchemes:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy spellings: bare strings warn, Paths stay silent
+# Legacy spellings: bare strings and Paths both infer silently
 # --------------------------------------------------------------------------- #
 class TestLegacySpellings:
-    def test_bare_string_warns_and_infers_directory(self, tmp_path):
+    def test_bare_string_infers_directory_silently(self, tmp_path):
         target = tmp_path / "archive"
         target.mkdir()
-        with pytest.warns(DeprecationWarning, match="bare target path"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             spec = parse_target(str(target))
         assert spec.store == "directory"
         assert spec.target == str(target)
 
-    def test_bare_string_warns_and_infers_container(self, tmp_path):
+    def test_bare_string_infers_container_silently(self, tmp_path):
         target = tmp_path / "archive.ule"
         target.write_bytes(b"stub")
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             spec = parse_target(str(target))
         assert spec.store == "container"
 
     def test_missing_bare_string_falls_back_to_default_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             spec = parse_target(str(tmp_path / "new"), default_store="directory")
         assert spec.store == "directory"
 
     def test_missing_bare_string_without_default_has_no_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             spec = parse_target(str(tmp_path / "new"))
         assert spec.store is None
 
@@ -125,10 +129,8 @@ class TestLegacySpellings:
         assert spec.store == "directory"
 
     def test_store_aliases_resolve(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert parse_target(str(tmp_path), store="dir").store == "directory"
-            assert parse_target(str(tmp_path), store="file").store == "container"
+        assert parse_target(str(tmp_path), store="dir").store == "directory"
+        assert parse_target(str(tmp_path), store="file").store == "container"
 
 
 # --------------------------------------------------------------------------- #
@@ -255,16 +257,16 @@ class TestApiIntegration:
             with open_restore(uri) as reader:
                 assert reader.read().payload == payload
 
-    def test_legacy_bare_string_still_works_but_warns(self, tmp_path, make_payload):
+    def test_bare_string_target_round_trips_silently(self, tmp_path, make_payload):
         from repro.api import ArchiveConfig, open_archive, open_restore
 
         payload = make_payload(3_000, seed=78)
         target = str(tmp_path / "archive")
         config = ArchiveConfig(media="test", segment_size=1024)
-        with pytest.warns(DeprecationWarning, match="bare target path"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             with open_archive(config, target=target) as writer:
                 writer.write(payload)
-        with pytest.warns(DeprecationWarning, match="bare target path"):
             with open_restore(target) as reader:
                 assert reader.read().payload == payload
 
